@@ -10,7 +10,8 @@ compressed NumPy archive with one array per field.
 
 :func:`layer_metrics` folds the span totals and self times (a span's
 duration minus the part its child spans cover) into the per-layer
-metrics that ``BENCHMARK.json`` lists.
+metrics that ``BENCHMARK.json`` lists (``run.py`` reports them in its order,
+with its units).
 """
 
 from __future__ import annotations
@@ -262,57 +263,10 @@ class Tracer:
 # ---------------------------------------------------------------------- #
 # Per-layer metrics
 # ---------------------------------------------------------------------- #
-#: Metric name -> unit, in report order.  ``BENCHMARK.json`` lists the same.
-LAYER_UNITS: Dict[str, str] = {
-    "rng.derive_s": "s",
-    "rng.build_s": "s",
-    "rng.generators_built": "count",
-    "engine.run_s": "s",
-    "engine.compile_s": "s",
-    "engine.sample_s": "s",
-    "engine.execute_s": "s",
-    "engine.gather_s": "s",
-    "engine.unphased_s": "s",
-    "schedule.compile_calls": "count",
-    "schedule.compile_s": "s",
-    "interpreter.walk_s": "s",
-    "failures.sample_s": "s",
-    "trial.overhead_s": "s",
-    "executor.overhead_s": "s",
-    "sweep.overhead_s": "s",
-    "sweep.analytical_s": "s",
-    "summary.s": "s",
-    "scenario.parse_calls": "count",
-    "scenario.parse_s": "s",
-    "checkpointing.lower_calls": "count",
-    "checkpointing.lower_s": "s",
-    "analytical.evaluations": "count",
-    "analytical.model_builds": "count",
-    "analytical.evaluate_s": "s",
-    "optimize.calls": "count",
-    "optimize.evaluations": "count",
-    "optimize.s": "s",
-    "regime.overhead_s": "s",
-    "service.parse_s": "s",
-    "service.key_s": "s",
-    "service.lookup_s": "s",
-    "service.render_s": "s",
-    "service.interpolate_s": "s",
-    "service.exact_s": "s",
-    "service.transport_s": "s",
-    "advisor.repeat_p50_ms": "ms",
-    "advisor.onmap_p50_ms": "ms",
-    "advisor.exact_p50_ms": "ms",
-    "advisor.request_p99_ms": "ms",
-    "trace.unattributed_s": "s",
-    "trace.overhead_ratio": "x",
-}
-
-
 def layer_metrics(
     tracer: Tracer, phases: Dict[str, float], root: str
 ) -> Dict[str, float]:
-    """Fold one traced region into the :data:`LAYER_UNITS` metrics.
+    """Fold one traced region into the per-layer metrics ``BENCHMARK.json`` lists.
 
     ``phases`` holds the engine phase seconds ``repro.obs`` accumulated over
     the region; ``root`` is the name of the operation spans.

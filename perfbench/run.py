@@ -39,17 +39,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src"
 OUTPUT_DIR = ROOT / ".perfbench_out"
 #: Fresh-process set-ups per run; ``setup_s`` reports their median.
-SETUP_PASSES = 5
+SETUP_PASSES = 9
 DEFAULT_SEED = 2014
 
-WORKLOAD_NAMES = ("sweep-vectorized", "sweep-event", "regime-map", "advisor-replay")
+
+def load_config() -> dict:
+    """``BENCHMARK.json``: the workload names, run length and metrics."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(config: dict, argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in config["workloads"]])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=float(config["run_seconds"]))
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--setup-only",
@@ -148,20 +151,22 @@ def scaled(seconds: float, r: Round) -> float:
     return seconds * REFERENCE_SECONDS / r.calibration
 
 
-def end_to_end(rounds, setup_s: float) -> dict:
+def scaled_samples(rounds) -> list:
+    """Every request's ``(class, latency)``, at the reference host speed."""
+    return [(klass, scaled(latency, r)) for r in rounds for klass, latency in r.outcome.samples]
+
+
+def end_to_end(workload, rounds, setup_s: float) -> dict:
     """The untraced metrics of a run, at the reference host speed.
 
     Each round's wall time is scaled by the host speed measured around it
     (``calibration.py``).  A round's rate is its operations over its scaled
-    time; its answer time is the median request latency (advisor) or the
-    round's time (one sweep, one map pair), scaled.  The run reports the
-    median of each over its rounds.
+    time; its answer time is :meth:`Workload.answer_seconds` (the round's
+    time, or on the advisor the class-balanced request latency), scaled.
+    The run reports the median of each over its rounds.
     """
     rates = [r.outcome.ops / scaled(r.wall, r) for r in rounds]
-    answers = [
-        scaled(statistics.median(latency for _, latency in r.outcome.samples) if r.outcome.samples else r.wall, r)
-        for r in rounds
-    ]
+    answers = [scaled(workload.answer_seconds(r.outcome, r.wall), r) for r in rounds]
     return {
         "setup_s": {"value": setup_s, "unit": "s"},
         "peak_rss_mb": {
@@ -218,7 +223,7 @@ def traced_region(workload, untraced, seed: int) -> tuple:
         problems.append(f"round {first.index}: traced output differs from the untraced replay")
 
     metrics = layer_metrics(tracer, phases, workload.root)
-    metrics.update(class_percentiles([s for r in untraced for s in r.outcome.samples]))
+    metrics.update(class_percentiles(scaled_samples(untraced)))
     # Both regions at the reference host speed, so a slower stretch of the
     # host does not read as tracing cost.
     metrics["trace.overhead_ratio"] = sum(scaled(r.wall, r) for r in traced) / sum(
@@ -232,16 +237,17 @@ def traced_region(workload, untraced, seed: int) -> tuple:
     return traced, metrics, problems
 
 
-def print_layer_table(metrics: dict, units: dict) -> None:
+def print_layer_table(metrics: dict) -> None:
     print(f"{'layer metric':<28} {'value':>14}  unit")
-    for name, unit in units.items():
-        value = metrics[name]
+    for name, metric in metrics.items():
+        value, unit = metric["value"], metric["unit"]
         text = f"{value:14d}" if unit == "count" else f"{value:14.6f}"
         print(f"{name:<28} {text}  {unit}")
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    config = load_config()
+    args = parse_args(config, argv)
     if not (SOURCE / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program source at {SOURCE}; run from a repository checkout", file=sys.stderr)
         return 2
@@ -264,16 +270,19 @@ def main(argv=None) -> int:
         rounds = run_rounds(workload, 1, seconds=seconds)
         problems = check_rounds(workload, rounds)
         if args.trace:
-            from layers import LAYER_UNITS
-
             traced, layer_values, traced_problems = traced_region(workload, rounds, args.seed)
             problems.extend(traced_problems)
             problems.extend(p for r in traced for p in r.problems)
             rounds = rounds + traced
-            metrics = {name: {"value": layer_values[name], "unit": unit} for name, unit in LAYER_UNITS.items()}
-            print_layer_table(layer_values, LAYER_UNITS)
+            metrics = {m["name"]: {"value": layer_values[m["name"]], "unit": m["unit"]} for m in config["per_layer"]}
+            print_layer_table(metrics)
         else:
-            metrics = end_to_end(rounds, statistics.median(passes))
+            metrics = end_to_end(workload, rounds, statistics.median(passes))
+            if rounds[0].outcome.samples:
+                from workloads import class_percentiles
+
+                classes = class_percentiles(scaled_samples(rounds))
+                print("advisor classes (scaled ms): " + json.dumps({k: round(v, 4) for k, v in classes.items()}))
         threads = threading.active_count()
     finally:
         workload.close()
@@ -290,7 +299,8 @@ def main(argv=None) -> int:
         f"run: workload={args.workload} seed={args.seed} rounds={len(rounds)} "
         f"unscaled_rate_min/median/max={rates[0]:.1f}/{statistics.median(rates):.1f}/{rates[-1]:.1f} "
         f"host_speed={host_speed(rounds):.3f} "
-        f"setup_passes_s={[round(p, 4) for p in passes]} checks_failed={len(problems)}"
+        f"setup_passes_s={[round(p, 4) for p in passes]} checks_failed={len(problems)} "
+        f"tie_band_redraws={workload.redrawn}"
     )
     result = {"correct": not problems, "attempted": attempted, "failed": failed, "metrics": metrics}
     print(json.dumps(result))
